@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/stats"
 	"repro/reissue"
-	"repro/reissue/hedge/backend"
 )
 
 func shardTraces(n, shards int) []ServiceSource {
@@ -215,21 +214,6 @@ func TestPolicySeedDecouplesCoins(t *testing.T) {
 	}
 	if frac := float64(same) / float64(len(legacy.Log.Records)); frac > 0.65 {
 		t.Fatalf("coin agreement %.2f with a different PolicySeed, want ~0.5", frac)
-	}
-}
-
-// TestHashReplicaMatchesPrimaryReplica pins hashReplica against the
-// live runtime's backend.PrimaryReplica bit for bit — the duplication
-// exists only because this package cannot import the backend without
-// inverting the dependency direction, and HashedLB's whole point is
-// reproducing the live placement exactly.
-func TestHashReplicaMatchesPrimaryReplica(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 17} {
-		for i := 0; i < 5000; i++ {
-			if got, want := hashReplica(i, n), backend.PrimaryReplica(i, n); got != want {
-				t.Fatalf("hashReplica(%d, %d) = %d, backend.PrimaryReplica = %d", i, n, got, want)
-			}
-		}
 	}
 }
 

@@ -167,11 +167,15 @@ func formatCell(v float64) string {
 	}
 }
 
-// redisWorkload and luceneWorkload are generated once per process —
-// building the kvstore's million-element sets and the search index is
-// expensive and the workloads are immutable. The caches are
-// sync.Once-guarded because sweep points warm them from pool workers
-// concurrently.
+// The Redis and Lucene workloads are generated once per process and
+// shared: they are immutable, and generation (the kvstore's sets over
+// a million-value universe, the search index, and the calibration of
+// every query's service time) is the largest one-time cost of a
+// figures run. The caches are sync.Once-guarded because sweep points
+// warm them from pool workers concurrently. A worker that finds
+// generation in progress blocks in Do, but the generators'
+// per-query calibration fans out over their own sweep.Chunks pool at
+// GOMAXPROCS workers, so the blocked worker's CPU is not left idle.
 var (
 	redisOnce  sync.Once
 	redisWL    *kvstore.Workload
@@ -349,7 +353,8 @@ func runJobTables(sc Scale, j *Job) ([]*Table, error) {
 // the aggregate grid behind TestFigureGoldens, the parallel-sweep
 // benchmark, and cmd/reissue-figures' default run. Figures 7 and 9
 // are excluded, as in the goldens — their cost is dominated by
-// workload generation (kvstore/searchengine), not simulation.
+// workload generation (kvstore/searchengine), not simulation; their
+// traces are pinned by TestSystemTraceDigests instead.
 func SweepJobs(sc Scale) []*Job {
 	return []*Job{
 		Figure2aJob(sc),

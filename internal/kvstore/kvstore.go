@@ -11,13 +11,24 @@
 // and (b) head-of-line blocking from Redis's single-threaded
 // round-robin event loop. This package reproduces (a); the cluster
 // simulator's RoundRobin discipline reproduces (b).
+//
+// Determinism: a workload is a pure function of its WorkloadConfig.
+// Every RNG draw — cardinalities, set members, the query pairs — is
+// made serially, in a fixed order, before any calibration starts.
+// Calibration (GenerateWorkload's Times, and each shard's Times in
+// Partition) then executes the queries in contiguous chunks through
+// the sweep pool (sweep.Chunks, GOMAXPROCS workers), each chunk
+// writing only its own Times[lo:hi]. The Times are therefore
+// bit-identical at any worker count, and there is no knob to set.
 package kvstore
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // Set is a sorted slice of distinct int32 members.
@@ -230,6 +241,7 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 
 	store := NewStore()
 	keys := make([]string, cfg.NumSets)
+	sampler := newSubsetSampler(cfg.ValueRange)
 	for i := range keys {
 		key := fmt.Sprintf("set:%04d", i)
 		keys[i] = key
@@ -241,7 +253,7 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 		if card > max {
 			card = max
 		}
-		store.setSorted(key, randomSubset(memberRNG, cfg.ValueRange, card))
+		store.setSorted(key, sampler.sample(memberRNG, card))
 	}
 
 	w := &Workload{
@@ -250,37 +262,67 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 		Times:   make([]float64, cfg.NumQueries),
 		Cost:    cfg.Cost,
 	}
-	for i := 0; i < cfg.NumQueries; i++ {
+	for i := range w.Queries {
 		a := queryRNG.Intn(cfg.NumSets)
 		b := queryRNG.Intn(cfg.NumSets - 1)
 		if b >= a {
 			b++
 		}
-		q := Query{A: keys[a], B: keys[b]}
-		w.Queries[i] = q
-		_, work := store.SInterCard(q.A, q.B)
-		w.Times[i] = cfg.Cost.ServiceTime(work)
+		w.Queries[i] = Query{A: keys[a], B: keys[b]}
+	}
+	if err := w.calibrate(); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
 
-// randomSubset draws a sorted set of `card` distinct values from
-// [0, valueRange) using Floyd's sampling algorithm.
-func randomSubset(r *stats.RNG, valueRange int32, card int) Set {
-	n := int(valueRange)
-	chosen := make(map[int32]struct{}, card)
-	for j := n - card; j < n; j++ {
-		v := int32(r.Intn(j + 1))
-		if _, taken := chosen[v]; taken {
-			v = int32(j)
+// calibrate fills Times by executing every query's intersection
+// against the store and applying the cost model. Each query writes
+// only its own Times slot, so the contiguous chunks run through the
+// sweep pool give the same Times at any worker count.
+func (w *Workload) calibrate() error {
+	return sweep.Chunks(len(w.Queries), func(lo, hi int) {
+		for i, q := range w.Queries[lo:hi] {
+			_, work := w.Store.SInterCard(q.A, q.B)
+			w.Times[lo+i] = w.Cost.ServiceTime(work)
 		}
-		chosen[v] = struct{}{}
+	})
+}
+
+// subsetSampler draws sorted random subsets of [0, n) with Floyd's
+// sampling algorithm. Membership lives in one bitset over the whole
+// universe, allocated once and reused: emitting a subset scans the
+// set bits in ascending order and clears them on the way, so the
+// members come out sorted without a sort and the bitset is empty
+// again for the next draw.
+type subsetSampler struct {
+	n     int
+	words []uint64
+}
+
+func newSubsetSampler(valueRange int32) *subsetSampler {
+	n := int(valueRange)
+	return &subsetSampler{n: n, words: make([]uint64, (n+63)/64)}
+}
+
+// sample draws `card` distinct values, 1 <= card <= n. The RNG draws
+// are exactly Floyd's: one Intn(j+1) per j in [n-card, n), a repeat
+// replaced by j itself.
+func (s *subsetSampler) sample(r *stats.RNG, card int) Set {
+	for j := s.n - card; j < s.n; j++ {
+		v := r.Intn(j + 1)
+		if s.words[v>>6]&(1<<(v&63)) != 0 {
+			v = j
+		}
+		s.words[v>>6] |= 1 << (v & 63)
 	}
 	out := make(Set, 0, card)
-	for v := range chosen {
-		out = append(out, v)
+	for wi := 0; len(out) < card; wi++ {
+		for word := s.words[wi]; word != 0; word &= word - 1 {
+			out = append(out, int32(wi<<6+bits.TrailingZeros64(word)))
+		}
+		s.words[wi] = 0
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -98,6 +98,12 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
+// randomSubset draws a sorted set of `card` distinct values from
+// [0, valueRange) with a fresh sampler.
+func randomSubset(r *stats.RNG, valueRange int32, card int) Set {
+	return newSubsetSampler(valueRange).sample(r, card)
+}
+
 func TestRandomSubset(t *testing.T) {
 	r := stats.NewRNG(1)
 	for _, card := range []int{1, 10, 1000} {

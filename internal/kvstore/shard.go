@@ -48,10 +48,9 @@ func (w *Workload) Partition(shards int) ([]*Workload, error) {
 			out[s].Store.setSorted(key, parts[s])
 		}
 	}
-	for s := range out {
-		for i, q := range w.Queries {
-			_, work := out[s].Store.SInterCard(q.A, q.B)
-			out[s].Times[i] = w.Cost.ServiceTime(work)
+	for _, part := range out {
+		if err := part.calibrate(); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

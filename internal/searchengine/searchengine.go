@@ -9,15 +9,25 @@
 // queries between 1 and 70 ms, ~1% above 100 ms) and a single global
 // FIFO request queue. This package reproduces the distribution; the
 // cluster simulator's FIFO discipline provides the queueing model.
+//
+// Determinism: a workload is a pure function of its WorkloadConfig.
+// Corpus synthesis and the query trace draw from their RNG streams
+// serially, in a fixed order, before any calibration starts.
+// Calibration (the Times of GenerateWorkload and of every shard in
+// GenerateShardedWorkload) then runs the searches in contiguous
+// chunks through the sweep pool (sweep.Chunks, GOMAXPROCS workers),
+// each chunk writing only its own Times[lo:hi]. The index is
+// read-only once built, so the Times are bit-identical at any worker
+// count, and there is no knob to set.
 package searchengine
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // Posting records one document containing a term.
@@ -236,7 +246,7 @@ func (ix *Index) searchAND(terms []int, topK int) Result {
 
 	var work Work
 	cursors := make([]int, len(lists))
-	h := &hitHeap{}
+	var h hitHeap
 	for _, p := range lists[order[0]] {
 		work.Postings++
 		doc := p.Doc
@@ -258,40 +268,65 @@ func (ix *Index) searchAND(terms []int, topK int) Result {
 		}
 		if ok {
 			work.Scored++
-			pushHit(h, Hit{Doc: doc, Score: score}, topK)
+			pushHit(&h, Hit{Doc: doc, Score: score}, topK)
 		}
 	}
-	return Result{Hits: drainHits(h), Work: work}
+	return Result{Hits: drainHits(&h), Work: work}
 }
 
-// searchOR accumulates scores term-at-a-time over the union of the
-// postings lists.
+// orCursor is one query term's position in the OR merge: the
+// postings not yet consumed, and the term's IDF weight.
+type orCursor struct {
+	postings []Posting
+	idf      float64
+}
+
+// searchOR merges the terms' postings document-at-a-time. Postings
+// are sorted and unique per document, so each merge step takes the
+// smallest head document, sums TF·IDF over the terms whose head it
+// is — in query-term order, starting from 0 — and pushes the hit.
+// Documents therefore reach the top-K heap in ascending id order,
+// which fixes tie-breaking, and every score is the same
+// floating-point sum a term-at-a-time accumulator would build.
+// Duplicate terms contribute once per occurrence; out-of-range terms
+// are skipped. Up to eight terms merge without allocating.
 func (ix *Index) searchOR(terms []int, topK int) Result {
+	const done = int32(math.MaxInt32)
 	var work Work
-	scores := make(map[int32]float64)
+	var buf [8]orCursor
+	cursors := buf[:0]
+	next := done
 	for _, t := range terms {
-		if t < 0 || t >= ix.numTerms {
+		if t < 0 || t >= ix.numTerms || len(ix.postings[t]) == 0 {
 			continue
 		}
-		idf := ix.IDF(t)
-		for _, p := range ix.postings[t] {
-			work.Postings++
-			scores[p.Doc] += float64(p.TF) * idf
+		p := ix.postings[t]
+		work.Postings += len(p)
+		cursors = append(cursors, orCursor{postings: p, idf: ix.IDF(t)})
+		next = min(next, p[0].Doc)
+	}
+	var h hitHeap
+	for doc := next; doc != done; doc = next {
+		next = done
+		score := 0.0
+		for i := range cursors {
+			c := &cursors[i]
+			if len(c.postings) == 0 {
+				continue
+			}
+			if p := c.postings[0]; p.Doc == doc {
+				score += float64(p.TF) * c.idf
+				c.postings = c.postings[1:]
+				if len(c.postings) == 0 {
+					continue
+				}
+			}
+			next = min(next, c.postings[0].Doc)
 		}
-	}
-	// Score documents in id order so tie-breaking is deterministic
-	// regardless of map iteration order.
-	docs := make([]int32, 0, len(scores))
-	for doc := range scores {
-		docs = append(docs, doc)
-	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-	h := &hitHeap{}
-	for _, doc := range docs {
 		work.Scored++
-		pushHit(h, Hit{Doc: doc, Score: scores[doc]}, topK)
+		pushHit(&h, Hit{Doc: doc, Score: score}, topK)
 	}
-	return Result{Hits: drainHits(h), Work: work}
+	return Result{Hits: drainHits(&h), Work: work}
 }
 
 // bitsLen approximates the cost of a galloping search over a gap.
@@ -307,35 +342,70 @@ func bitsLen(gap int) int {
 	return n
 }
 
-// hitHeap is a min-heap on score holding the current top-k.
+// hitHeap is a min-heap holding the current top-k: the root is the
+// lowest score, and among equal scores the highest document id.
 type hitHeap []Hit
 
-func (h hitHeap) Len() int { return len(h) }
-func (h hitHeap) Less(i, j int) bool {
+func (h hitHeap) less(i, j int) bool {
 	if h[i].Score != h[j].Score {
 		return h[i].Score < h[j].Score
 	}
 	return h[i].Doc > h[j].Doc
 }
-func (h hitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)   { *h = append(*h, x.(Hit)) }
-func (h *hitHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
+func (h hitHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h hitHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// pushHit offers hit to the top-k heap: it joins while the heap has
+// room and otherwise replaces the root if it scores strictly higher.
+// The root is the unique minimum of a total order, so which hits
+// survive does not depend on the heap's internal layout.
 func pushHit(h *hitHeap, hit Hit, topK int) {
-	if h.Len() < topK {
-		heap.Push(h, hit)
+	if len(*h) < topK {
+		*h = append(*h, hit)
+		h.up(len(*h) - 1)
 		return
 	}
 	if (*h)[0].Score < hit.Score {
 		(*h)[0] = hit
-		heap.Fix(h, 0)
+		h.down(0)
 	}
 }
 
+// drainHits empties the heap into a slice ranked best first.
 func drainHits(h *hitHeap) []Hit {
-	out := make([]Hit, h.Len())
+	out := make([]Hit, len(*h))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Hit)
+		last := len(*h) - 1
+		out[i] = (*h)[0]
+		(*h)[0] = (*h)[last]
+		*h = (*h)[:last]
+		h.down(0)
 	}
 	return out
 }
@@ -434,11 +504,22 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 		Times:   make([]float64, cfg.NumQueries),
 		Cost:    cfg.Cost,
 	}
-	for i, q := range w.Queries {
-		res := ix.Search(q, 10)
-		w.Times[i] = cfg.Cost.ServiceTime(res.Work)
+	if err := w.calibrate(); err != nil {
+		return nil, err
 	}
 	return w, nil
+}
+
+// calibrate fills Times by running every query against the index
+// (top 10, as a results page) and applying the cost model. Each query
+// writes only its own Times slot, so the contiguous chunks run
+// through the sweep pool give the same Times at any worker count.
+func (w *Workload) calibrate() error {
+	return sweep.Chunks(len(w.Queries), func(lo, hi int) {
+		for i, q := range w.Queries[lo:hi] {
+			w.Times[lo+i] = w.Cost.ServiceTime(w.Index.Search(q, 10).Work)
+		}
+	})
 }
 
 // normalized applies defaults and validates the query-trace

@@ -47,9 +47,8 @@ func GenerateShardedWorkload(cfg WorkloadConfig, shards int) ([]*Workload, error
 			Times:   make([]float64, len(queries)),
 			Cost:    cfg.Cost,
 		}
-		for i, q := range queries {
-			res := ix.Search(q, 10)
-			w.Times[i] = cfg.Cost.ServiceTime(res.Work)
+		if err := w.calibrate(); err != nil {
+			return nil, err
 		}
 		out[s] = w
 	}

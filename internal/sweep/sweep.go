@@ -247,6 +247,32 @@ func Map[T, R any](items []T, opt Options, fn func(env *Env, i int, item T) (R, 
 	return out, nil
 }
 
+// rangeChunks is how many contiguous pieces Chunks cuts a range
+// into. It is fixed rather than derived from the worker count, so
+// the cut — and the allocations of a call — are the same on every
+// machine, and 64 pieces balance uneven per-index cost over any small
+// pool.
+const rangeChunks = 64
+
+// Chunks evaluates fn over [0, n), cut into contiguous [lo, hi)
+// pieces, through Run at runtime.GOMAXPROCS(0) workers. It is the
+// shape of a per-index calibration loop: fn must write only the
+// results of its own indices, so the outcome is identical at any
+// worker count and only the wall clock changes. A panic in fn
+// returns as an error naming the piece.
+func Chunks(n int, fn func(lo, hi int)) error {
+	pieces := min(n, rangeChunks)
+	points := make([]Point, pieces)
+	for c := range points {
+		lo, hi := c*n/pieces, (c+1)*n/pieces
+		points[c].Run = func(*Env) error {
+			fn(lo, hi)
+			return nil
+		}
+	}
+	return Run(points, Options{Workers: runtime.GOMAXPROCS(0)})
+}
+
 // progress is the sweep-level progress/ETA reporter: a counter
 // shared by the workers and one goroutine that periodically renders
 // it, so worker hot loops never block on the writer.

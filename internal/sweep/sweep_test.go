@@ -248,3 +248,36 @@ func TestProgressReporting(t *testing.T) {
 		t.Fatalf("missing periodic ETA line:\n%s", out)
 	}
 }
+
+// Chunks must cover [0, n) exactly once with contiguous pieces, for
+// ranges shorter and longer than its piece count, and report a
+// panicking piece as an error.
+func TestChunksCoverRangeOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 5, rangeChunks, 1000} {
+		hits := make([]int, n)
+		err := Chunks(n, func(lo, hi int) {
+			if lo >= hi {
+				panic(fmt.Sprintf("empty piece [%d,%d)", lo, hi))
+			}
+			for i := lo; i < hi; i++ {
+				hits[i]++
+			}
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: index %d evaluated %d times", n, i, h)
+			}
+		}
+	}
+	err := Chunks(100, func(lo, hi int) {
+		if lo <= 50 && 50 < hi {
+			panic("boom")
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking piece: %v", err)
+	}
+}
